@@ -6,6 +6,11 @@ set -eux
 
 cargo build --release --workspace --offline
 cargo test -q --workspace --offline
+# The wall-clock benchmark's own suite (release): its oracle smoke runs
+# every workload under all five benchmark schemes on two real vCPU
+# threads, so every CI run exercises the exclusive barrier's
+# spin-then-park handshake under true parallelism.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo fmt --all --check
 

@@ -16,7 +16,10 @@ use adbt::{SchemeKind, VcpuOutcome};
 use adbt_bench::{pct, Args, Table};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(
+        &["threads", "ops", "nodes", "stall", "victim-stall", "reps"],
+        &["threaded"],
+    );
     let threads: u32 = args.get("threads", 16);
     let ops: u32 = args.get("ops", 0xFFFF);
     let nodes: u32 = args.get("nodes", 64);

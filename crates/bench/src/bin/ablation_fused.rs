@@ -15,13 +15,10 @@ use adbt::{MachineConfig, SchemeKind, SimCosts};
 use adbt_bench::{fmt_f64, Args, Table};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["scale", "threads", "program"], &[]);
     let scale: f64 = args.get("scale", 0.1);
     let threads: u32 = args.get("threads", 8);
-    let program = args
-        .get_str("program")
-        .and_then(Program::from_name)
-        .unwrap_or(Program::Freqmine);
+    let program = args.get("program", Program::Freqmine);
 
     let mut table = Table::new(&[
         "scheme",

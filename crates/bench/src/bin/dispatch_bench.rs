@@ -516,7 +516,12 @@ fn run_adapt(args: &Args, source: &str, reps: u32, chain: u32) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(
+        &[
+            "iters", "reps", "chain", "guard", "threads", "epoch", "scale",
+        ],
+        &["traced", "profiled", "tiered", "adapt"],
+    );
     let iters: u32 = args.get("iters", 300_000);
     let reps: u32 = args.get("reps", 5);
     let chain: u32 = args.get("chain", 64);

@@ -18,7 +18,7 @@ use adbt::SchemeKind;
 use adbt_bench::{fmt_f64, thread_ladder, Args, Table};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["scale", "max-threads", "programs"], &[]);
     let scale: f64 = args.get("scale", 0.1);
     let max_threads: u32 = args.get("max-threads", 64);
     let schemes = [
@@ -28,11 +28,8 @@ fn main() {
         SchemeKind::PicoSt,
         SchemeKind::PicoCas,
     ];
-    let programs: Vec<Program> = match args.get_str("programs") {
-        Some(list) => list
-            .split(',')
-            .map(|name| Program::from_name(name.trim()).expect("unknown program"))
-            .collect(),
+    let programs: Vec<Program> = match args.get_list("programs") {
+        Some(list) => list,
         None => Program::ALL.into_iter().filter(|p| p.scalable()).collect(),
     };
     let ladder = thread_ladder(max_threads);

@@ -15,14 +15,11 @@ use adbt::{SchemeKind, VcpuOutcome};
 use adbt_bench::{fmt_f64, thread_ladder, Args, Table};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["scale", "max-threads", "programs"], &[]);
     let scale: f64 = args.get("scale", 0.1);
     let max_threads: u32 = args.get("max-threads", 32);
-    let programs: Vec<Program> = match args.get_str("programs") {
-        Some(list) => list
-            .split(',')
-            .map(|name| Program::from_name(name.trim()).expect("unknown program"))
-            .collect(),
+    let programs: Vec<Program> = match args.get_list("programs") {
+        Some(list) => list,
         None => vec![
             Program::Fluidanimate,
             Program::Freqmine,

@@ -17,11 +17,8 @@ use adbt_bench::{pct_cell, thread_ladder, Args, Table};
 fn breakdown_sweep(args: &Args) {
     let scale: f64 = args.get("scale", 0.1);
     let max_threads: u32 = args.get("max-threads", 32);
-    let programs: Vec<Program> = match args.get_str("programs") {
-        Some(list) => list
-            .split(',')
-            .map(|name| Program::from_name(name.trim()).expect("unknown program"))
-            .collect(),
+    let programs: Vec<Program> = match args.get_list("programs") {
+        Some(list) => list,
         None => Program::ALL.to_vec(),
     };
     // The paper's four bars per thread configuration, left to right.
@@ -114,7 +111,7 @@ fn false_sharing_sweep(args: &Args) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["scale", "max-threads", "programs"], &["false-sharing"]);
     if args.flag("false-sharing") {
         false_sharing_sweep(&args);
     } else {

@@ -18,7 +18,7 @@ use adbt::SchemeKind;
 use adbt_bench::{fmt_f64, geomean, pct, Args, Table};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["scale", "threads"], &[]);
     let scale: f64 = args.get("scale", 0.1);
     let threads: u32 = args.get("threads", 8);
 

@@ -17,7 +17,7 @@ use adbt::SchemeKind;
 use adbt_bench::{Args, Table};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["scale", "threads"], &[]);
     let scale: f64 = args.get("scale", 0.2);
     let threads: u32 = args.get("threads", 4);
 

@@ -12,7 +12,7 @@ use adbt::SchemeKind;
 use adbt_bench::{Args, Table};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[], &[]);
 
     println!("Table II — qualitative comparison (paper §VII):\n");
     let mut table = Table::new(&["approach", "speed", "atomicity", "portability"]);

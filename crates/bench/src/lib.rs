@@ -21,50 +21,191 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::time::Duration;
 
-/// Simple `--flag value` argument parsing shared by the harness binaries.
+/// `--key value` / `--flag` argument parsing shared by the harness
+/// binaries. Strict: each binary declares the value keys and boolean
+/// flags it accepts, and an unknown, repeated or stray argument, a
+/// missing value or an unparsable value is an error — a typo must not
+/// silently run a different experiment.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
+    declared: Vec<String>,
 }
 
-impl Args {
-    /// Parses `std::env::args()`, treating `--key value` as a pair and a
-    /// trailing `--key` as a boolean flag.
-    pub fn parse() -> Args {
-        let mut args = Args::default();
-        let mut iter = std::env::args().skip(1).peekable();
-        while let Some(arg) = iter.next() {
-            if let Some(key) = arg.strip_prefix("--") {
-                match iter.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        args.values
-                            .insert(key.to_string(), iter.next().expect("peeked"));
-                    }
-                    _ => args.flags.push(key.to_string()),
-                }
+/// Why a command line was rejected.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ArgError {
+    /// `--key` is not one the binary accepts.
+    Unknown(String),
+    /// `--key` given twice.
+    Repeated(String),
+    /// A value key at the end of the line or followed by another `--key`.
+    MissingValue(String),
+    /// A value that does not parse as the key's type.
+    Unparsable {
+        /// The key.
+        key: String,
+        /// The value given.
+        value: String,
+    },
+    /// An argument that is neither a `--key` nor a key's value.
+    Unexpected(String),
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::Unknown(key) => write!(f, "unknown option --{key}"),
+            ArgError::Repeated(key) => write!(f, "--{key} given more than once"),
+            ArgError::MissingValue(key) => write!(f, "--{key} needs a value"),
+            ArgError::Unparsable { key, value } => {
+                write!(f, "--{key}: cannot parse `{value}`")
             }
+            ArgError::Unexpected(arg) => write!(f, "unexpected argument `{arg}`"),
         }
-        args
+    }
+}
+
+/// Value keys every binary accepts: [`Table::emit`]'s output paths.
+const OUTPUT_KEYS: [&str; 2] = ["csv", "json"];
+
+impl Args {
+    /// Parses `std::env::args()` against the binary's `values` keys
+    /// (`--key value`, plus `--csv`/`--json`) and boolean `flags`
+    /// (`--flag`). Exits with status 2 and a message on a bad command
+    /// line.
+    pub fn parse(values: &[&str], flags: &[&str]) -> Args {
+        Args::try_parse(std::env::args().skip(1), values, flags).unwrap_or_else(|e| {
+            let keys = values
+                .iter()
+                .chain(&OUTPUT_KEYS)
+                .map(|k| format!("[--{k} V]"));
+            let flags = flags.iter().map(|k| format!("[--{k}]"));
+            let usage: Vec<String> = keys.chain(flags).collect();
+            exit_bad_args(&format!("{e}\nusage: {}", usage.join(" ")))
+        })
     }
 
-    /// A typed value with a default.
+    /// [`Args::parse`] over an explicit argument list, reporting the
+    /// first error instead of exiting.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ArgError`] except [`ArgError::Unparsable`], which
+    /// [`Args::try_get`] reports once the key's type is known.
+    pub fn try_parse(
+        args: impl IntoIterator<Item = String>,
+        values: &[&str],
+        flags: &[&str],
+    ) -> Result<Args, ArgError> {
+        let value_keys: Vec<&str> = values.iter().chain(&OUTPUT_KEYS).copied().collect();
+        let mut out = Args {
+            declared: value_keys
+                .iter()
+                .chain(flags)
+                .map(|k| k.to_string())
+                .collect(),
+            ..Args::default()
+        };
+        let mut iter = args.into_iter();
+        while let Some(arg) = iter.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(ArgError::Unexpected(arg));
+            };
+            let key = key.to_string();
+            if out.values.contains_key(&key) || out.flags.contains(&key) {
+                return Err(ArgError::Repeated(key));
+            }
+            if flags.contains(&key.as_str()) {
+                out.flags.push(key);
+            } else if value_keys.contains(&key.as_str()) {
+                match iter.next() {
+                    Some(value) if !value.starts_with("--") => {
+                        out.values.insert(key, value);
+                    }
+                    _ => return Err(ArgError::MissingValue(key)),
+                }
+            } else {
+                return Err(ArgError::Unknown(key));
+            }
+        }
+        Ok(out)
+    }
+
+    /// A typed value with a default; exits with status 2 when the value
+    /// is present but does not parse.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
+        self.try_get(key)
+            .unwrap_or_else(|e| exit_bad_args(&e.to_string()))
             .unwrap_or(default)
     }
 
+    /// A typed value, `None` when absent.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::Unparsable`] when the value does not parse as `T`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the binary did not declare `key` (a bug in the binary).
+    pub fn try_get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
+        self.get_str(key).map(|v| parse_value(key, v)).transpose()
+    }
+
+    /// A comma-separated list of typed values, `None` when absent; exits
+    /// with status 2 when an element does not parse.
+    pub fn get_list<T: std::str::FromStr>(&self, key: &str) -> Option<Vec<T>> {
+        let list = self.get_str(key)?;
+        let parsed = list.split(',').map(|item| parse_value(key, item.trim()));
+        Some(
+            parsed
+                .collect::<Result<_, _>>()
+                .unwrap_or_else(|e| exit_bad_args(&e.to_string())),
+        )
+    }
+
     /// A string value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the binary did not declare `key` (a bug in the binary).
     pub fn get_str(&self, key: &str) -> Option<&str> {
+        self.assert_declared(key);
         self.values.get(key).map(String::as_str)
     }
 
     /// Whether a boolean flag is present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the binary did not declare `key` (a bug in the binary).
     pub fn flag(&self, key: &str) -> bool {
+        self.assert_declared(key);
         self.flags.iter().any(|f| f == key)
     }
+
+    fn assert_declared(&self, key: &str) {
+        assert!(
+            self.declared.iter().any(|k| k == key),
+            "--{key} is read but was not declared to Args::parse"
+        );
+    }
+}
+
+/// Parses `key`'s `value` as a `T`.
+fn parse_value<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, ArgError> {
+    value.parse().map_err(|_| ArgError::Unparsable {
+        key: key.to_string(),
+        value: value.to_string(),
+    })
+}
+
+/// Reports a bad command line and exits with status 2.
+fn exit_bad_args(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// The thread ladder the paper sweeps (Fig. 10 goes to 64); capped by
@@ -278,6 +419,84 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(line: &str) -> Result<Args, ArgError> {
+        Args::try_parse(
+            line.split_whitespace().map(String::from),
+            &["scale", "programs"],
+            &["traced"],
+        )
+    }
+
+    #[test]
+    fn args_accept_declared_keys() {
+        let args = parse("--scale 0.5 --traced --csv out.csv").unwrap();
+        assert_eq!(args.get("scale", 1.0), 0.5);
+        assert_eq!(args.try_get::<f64>("programs"), Ok(None));
+        assert!(args.flag("traced"));
+        assert_eq!(args.get_str("csv"), Some("out.csv"));
+        assert_eq!(args.get_str("json"), None);
+        let none = parse("").unwrap();
+        assert_eq!(none.get("scale", 1.0), 1.0);
+        assert!(!none.flag("traced"));
+    }
+
+    #[test]
+    fn args_reject_an_unknown_flag() {
+        assert_eq!(
+            parse("--scael 0.5").unwrap_err(),
+            ArgError::Unknown("scael".into())
+        );
+    }
+
+    #[test]
+    fn args_reject_a_missing_value() {
+        assert_eq!(
+            parse("--scale").unwrap_err(),
+            ArgError::MissingValue("scale".into())
+        );
+        assert_eq!(
+            parse("--scale --traced").unwrap_err(),
+            ArgError::MissingValue("scale".into())
+        );
+    }
+
+    #[test]
+    fn args_reject_an_unparsable_value() {
+        let args = parse("--scale fast").unwrap();
+        let err = args.try_get::<f64>("scale").unwrap_err();
+        assert_eq!(
+            err,
+            ArgError::Unparsable {
+                key: "scale".into(),
+                value: "fast".into()
+            }
+        );
+        assert_eq!(err.to_string(), "--scale: cannot parse `fast`");
+    }
+
+    #[test]
+    fn args_reject_repeated_and_stray_arguments() {
+        assert_eq!(
+            parse("--traced --traced").unwrap_err(),
+            ArgError::Repeated("traced".into())
+        );
+        assert_eq!(
+            parse("--scale 1 --scale 2").unwrap_err(),
+            ArgError::Repeated("scale".into())
+        );
+        // A boolean flag takes no value.
+        assert_eq!(
+            parse("--traced 1").unwrap_err(),
+            ArgError::Unexpected("1".into())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not declared")]
+    fn reading_an_undeclared_key_is_a_bug() {
+        let _ = parse("").unwrap().get("threads", 1u32);
+    }
 
     #[test]
     fn ladder_caps() {

@@ -666,6 +666,11 @@ fn main() -> ExitCode {
             occ.reclaimed_segments,
             s.smc_false_sharing,
         );
+        let excl = machine.core().exclusive.telemetry();
+        eprintln!(
+            "exclusive: sections={} wait_ns={} spun={} slept={}",
+            excl.sections, excl.wait_ns, excl.spun, excl.slept,
+        );
         let pct = |num: u64, den: u64| {
             if den == 0 {
                 "n/a".to_string()

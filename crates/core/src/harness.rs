@@ -293,15 +293,26 @@ pub fn run_parsec_full(
     };
     let seconds = report.wall.as_secs_f64();
 
-    // Invariants: the lock-protected plain counter at sync_page+16 and
-    // the atomic counter at sync_page+8 must equal the expected event
-    // totals — a wrong scheme (or engine bug) shows up here.
+    // Invariants: the lock-protected plain counters (sync_page+16 under
+    // the global lock, or each fine lock's own cell counter) and the
+    // atomic counter at sync_page+8 must equal the expected event totals
+    // exactly — a wrong scheme (or engine bug) shows up here.
     let spec = generated.spec;
     let sync = machine.symbol("sync_page")?;
     let mut valid = report.all_ok();
     if let Some(per_thread) = spec.iters.checked_div(spec.lock_every) {
         let expected = per_thread as u64 * threads as u64;
-        valid &= machine.read_word(sync + 16)? as u64 == expected;
+        if spec.fine_locks > 0 {
+            let cells = machine.symbol("fine_locks_page")?;
+            for (cell, events) in (0u32..).zip(spec.fine_lock_events()) {
+                let base = cells + cell * parsec::FINE_LOCK_CELL_BYTES;
+                valid &= machine.read_word(base)? == 0;
+                valid &= machine.read_word(base + 4)? as u64 == events * threads as u64;
+            }
+            valid &= machine.read_word(sync + 16)? == 0;
+        } else {
+            valid &= machine.read_word(sync + 16)? as u64 == expected;
+        }
         if spec.atomic_adds_per_lock > 0 {
             let expected_atomic = expected * spec.atomic_adds_per_lock as u64;
             valid &= machine.read_word(sync + 8)? as u64 == expected_atomic;

@@ -103,10 +103,38 @@ fn check_profile(line: &Json, n: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// The exclusive-barrier block, when a line carries one: every counter
+/// present and numeric, and no more entries released by spinning or
+/// sleeping than entered (`spun + slept <= sections`).
+fn check_exclusive(line: &Json, n: usize) -> Result<(), String> {
+    let Some(block) = line.get("exclusive") else {
+        return Ok(());
+    };
+    let mut values = [0.0; 4];
+    for (value, key) in values
+        .iter_mut()
+        .zip(["sections", "wait_ns", "spun", "slept"])
+    {
+        *value = block
+            .get(key)
+            .and_then(Json::as_num)
+            .filter(|v| *v >= 0.0)
+            .ok_or_else(|| format!("line {n}: exclusive block missing numeric {key}"))?;
+    }
+    let [sections, _, spun, slept] = values;
+    if spun + slept > sections {
+        return Err(format!(
+            "line {n}: exclusive spun {spun} + slept {slept} exceeds sections {sections}"
+        ));
+    }
+    Ok(())
+}
+
 /// The in-tree validator: every line parses, carries the schema tag,
 /// `seq` counts up from 0, exactly the last line is `final` (and
 /// carries the merged stats block), occupancy is present throughout,
-/// and profile summaries only name metrics this build knows.
+/// the exclusive block (if any) is consistent, and profile summaries
+/// only name metrics this build knows.
 pub fn validate_metrics_jsonl(text: &str) -> Result<usize, String> {
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     if lines.is_empty() {
@@ -147,6 +175,7 @@ pub fn validate_metrics_jsonl(text: &str) -> Result<usize, String> {
             return Err(format!("line {n}: missing occupancy object"));
         }
         check_profile(&line, n)?;
+        check_exclusive(&line, n)?;
         if is_last && !matches!(line.get("stats"), Some(Json::Obj(_))) {
             return Err(format!("line {n}: final line must carry the stats block"));
         }
@@ -177,7 +206,13 @@ mod tests {
     }
 
     fn line(seq: u64, is_final: bool, with_stats: bool) -> String {
-        let mut extras = vec![("occupancy", "{\"blocks\":3}".to_string())];
+        let mut extras = vec![
+            ("occupancy", "{\"blocks\":3}".to_string()),
+            (
+                "exclusive",
+                "{\"sections\":5,\"wait_ns\":900,\"spun\":3,\"slept\":1}".to_string(),
+            ),
+        ];
         if with_stats {
             extras.push(("stats", "{\"insns\":100}".to_string()));
         }
@@ -239,5 +274,17 @@ mod tests {
         assert!(validate_metrics_jsonl(&cooked)
             .unwrap_err()
             .contains("unknown metric"));
+    }
+
+    #[test]
+    fn validator_checks_the_exclusive_block() {
+        let no_spun = line(0, true, true).replace("\"spun\":3,", "");
+        assert!(validate_metrics_jsonl(&no_spun)
+            .unwrap_err()
+            .contains("missing numeric spun"));
+        let overcounted = line(0, true, true).replace("\"slept\":1", "\"slept\":3");
+        assert!(validate_metrics_jsonl(&overcounted)
+            .unwrap_err()
+            .contains("exceeds sections"));
     }
 }

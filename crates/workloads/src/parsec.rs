@@ -182,6 +182,13 @@ impl Program {
     }
 }
 
+impl std::str::FromStr for Program {
+    type Err = String;
+    fn from_str(name: &str) -> Result<Program, String> {
+        Program::from_name(name).ok_or_else(|| format!("unknown program `{name}`"))
+    }
+}
+
 impl std::fmt::Display for Program {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -201,7 +208,8 @@ pub struct KernelSpec {
     /// Take a lock every N iterations (0 = never).
     pub lock_every: u32,
     /// 0 = one global lock; otherwise the size of the fine-grained lock
-    /// array (lock chosen by iteration index).
+    /// array (lock chosen by iteration index). Each fine lock guards its
+    /// own counter in the same [`FINE_LOCK_CELL_BYTES`] cell.
     pub fine_locks: u32,
     /// Atomic fetch-adds per synchronization point (with `lock_every ==
     /// 0` these run standalone, the `freqmine` shape).
@@ -212,6 +220,30 @@ pub struct KernelSpec {
     /// Barrier every N iterations (0 = never).
     pub barrier_every: u32,
 }
+
+impl KernelSpec {
+    /// How many times one thread takes each fine-grained lock (and so
+    /// bumps that cell's counter), indexed by cell; empty for a
+    /// global-lock or lock-free kernel. The iteration counter `r6` counts
+    /// down from `iters` to 1, and a lock is taken when `r6` is a multiple
+    /// of `lock_every`, on cell `r6 & (fine_locks - 1)`.
+    pub fn fine_lock_events(&self) -> Vec<u64> {
+        if self.fine_locks == 0 || self.lock_every == 0 {
+            return Vec::new();
+        }
+        let mut cells = vec![0; self.fine_locks as usize];
+        for r6 in 1..=self.iters {
+            if r6 % self.lock_every == 0 {
+                cells[(r6 & (self.fine_locks - 1)) as usize] += 1;
+            }
+        }
+        cells
+    }
+}
+
+/// Bytes per fine-grained lock cell: the lock word, then the counter it
+/// guards. The cells are packed on the `fine_locks_page`.
+pub const FINE_LOCK_CELL_BYTES: u32 = 8;
 
 /// A generated kernel.
 #[derive(Clone, Debug)]
@@ -269,6 +301,10 @@ pub fn generate(program: Program, threads: u32, scale: f64) -> ParsecProgram {
             "cadence fields must be powers of two"
         );
     }
+    assert!(
+        spec.fine_locks * FINE_LOCK_CELL_BYTES <= 4096,
+        "fine-lock cells must fit on one page"
+    );
 
     let mut s = String::new();
     let _ = writeln!(
@@ -338,23 +374,32 @@ pub fn generate(program: Program, threads: u32, scale: f64) -> ParsecProgram {
             let _ = writeln!(s, "        tst   r6, #{}", spec.lock_every - 1);
             let _ = writeln!(s, "        bne   skip_lock");
         }
-        if spec.fine_locks > 0 {
-            // Pick a lock by iteration index: contention is spread but
+        // The word the lock guards, as `[base, #offset]`.
+        let guarded = if spec.fine_locks > 0 {
+            // Pick a cell by iteration index: contention is spread but
             // the lock words share a page (real fluidanimate packs cell
             // locks the same way — and it is what makes PST suffer).
+            // Each cell is [lock, counter], so every lock guards its own
+            // counter and no two locks guard one word.
             let _ = writeln!(s, "        mov32 r11, fine_locks_page");
             let _ = writeln!(s, "        and   r2, r6, #{}", spec.fine_locks - 1);
-            let _ = writeln!(s, "        lsl   r2, r2, #2");
+            let _ = writeln!(
+                s,
+                "        lsl   r2, r2, #{}",
+                FINE_LOCK_CELL_BYTES.trailing_zeros()
+            );
             let _ = writeln!(s, "        add   r11, r11, r2");
+            "[r11, #4]"
         } else {
             let _ = writeln!(s, "        mov   r11, r5   ; global lock");
-        }
+            "[r5, #16]"
+        };
         let _ = write!(s, "{}", rt::spin_lock("lk", "r11", "r2", "r3"));
         // Shared-data updates under the lock (plain stores to the shared
-        // page — the strong-vs-weak atomicity distinction lives here).
-        let _ = writeln!(s, "        ldr   r2, [r5, #16]");
+        // data — the strong-vs-weak atomicity distinction lives here).
+        let _ = writeln!(s, "        ldr   r2, {guarded}");
         let _ = writeln!(s, "        add   r2, r2, #1");
-        let _ = writeln!(s, "        str   r2, [r5, #16]");
+        let _ = writeln!(s, "        str   r2, {guarded}");
         for k in 0..spec.atomic_adds_per_lock {
             let _ = writeln!(s, "        add   r10, r5, #8");
             let _ = write!(
@@ -390,7 +435,7 @@ pub fn generate(program: Program, threads: u32, scale: f64) -> ParsecProgram {
         .word 0                 ; pad
         .word 0                 ; atomic counter (+8)
         .word 0                 ; pad
-        .word 0                 ; lock-protected shared word (+16)
+        .word 0                 ; global-lock-protected word (+16)
         .space 236
         .align 4096
     barrier_page:
@@ -398,7 +443,7 @@ pub fn generate(program: Program, threads: u32, scale: f64) -> ParsecProgram {
         .word 0                 ; sense
         .space 248
         .align 4096
-    fine_locks_page:
+    fine_locks_page:            ; [lock, counter] cells
         .space 4096
         .align 4096
     buffers:
@@ -486,6 +531,20 @@ mod tests {
         }
         assert!(x264 > 500.0, "x264 ratio {x264}");
         assert!(blackscholes > canneal);
+    }
+
+    #[test]
+    fn fine_lock_events_cover_every_lock_acquisition() {
+        let spec = generate(Program::Fluidanimate, 2, 0.05).spec;
+        let cells = spec.fine_lock_events();
+        assert_eq!(cells.len(), spec.fine_locks as usize);
+        assert_eq!(
+            cells.iter().sum::<u64>(),
+            (spec.iters / spec.lock_every) as u64
+        );
+        // lock_every = 8 over 64 cells: only multiples of 8 are used.
+        assert!(cells.iter().enumerate().all(|(c, &n)| c % 8 == 0 || n == 0));
+        assert!(Program::Canneal.spec().fine_lock_events().is_empty());
     }
 
     #[test]

@@ -104,6 +104,31 @@ cargo run -q --release --offline -p adbt-fuzz --bin adbt_fuzz -- \
     --ci --seeds 8 --max-insns 256 --auto \
     --out "$TRACE_TMP/fuzz-auto-artifacts"
 
+# Deterministic results oracle (release, ~25 s): every CSV in results/
+# that the simulated multicore or a pinned schedule produces is
+# regenerated with EXPERIMENTS.md's parameters and must match the
+# committed file byte for byte — the record behind the paper figures
+# cannot drift silently, and a refactor of the deterministic drivers
+# is checked against it.
+mkdir -p "$TRACE_TMP/results"
+while read -r csv bin params; do
+    # $params is word-split on purpose: it holds the binary's flags.
+    # shellcheck disable=SC2086
+    cargo run -q --release --offline -p adbt-bench --bin "$bin" -- \
+        $params --csv "$TRACE_TMP/results/$csv" > /dev/null
+    cmp "$TRACE_TMP/results/$csv" "results/$csv"
+done <<'EOF'
+table1.csv table1_profile --scale 0.1
+speedup.csv speedup_summary --scale 0.08 --threads 8
+fig10.csv fig10_scalability --scale 0.05 --max-threads 64
+fig11.csv fig11_htm --scale 0.05 --max-threads 32
+fig12.csv fig12_breakdown --scale 0.04 --max-threads 32
+fig12_fs.csv fig12_breakdown --false-sharing --scale 0.05 --max-threads 64
+ablation_fused.csv ablation_fused --scale 0.1 --threads 8
+table2.csv table2_matrix
+aba.csv aba_correctness --threads 16 --ops 16000 --nodes 16 --reps 3
+EOF
+
 # Profiled chaos soak (release, ~seconds): the same seed-pinned
 # contended counter runs on every scheme with the guest-PC contention
 # profiler armed on top of fault injection. Each run writes a .prof

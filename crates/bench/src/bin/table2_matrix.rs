@@ -26,7 +26,7 @@ fn main() {
     }
     table.emit(&args);
 
-    println!("\nExecuted litmus matrix (§IV-A, Seq1–Seq4, lockstep mode):\n");
+    println!("\nExecuted litmus matrix (§IV-A, Seq1–Seq4, scripted schedule):\n");
     let mut litmus = Table::new(&["scheme", "Seq1", "Seq2", "Seq3", "Seq4", "conforms"]);
     for kind in SchemeKind::ALL {
         let mut cells = Vec::new();

@@ -12,7 +12,7 @@
 //! crates and adds:
 //!
 //! * [`Machine`] / [`MachineBuilder`] — assemble a guest program, pick a
-//!   scheme, run on real threads or in deterministic lockstep.
+//!   scheme, run on real threads or under a deterministic scheduler.
 //! * [`harness`] — ready-made runners for the paper's experiments: the
 //!   ABA lock-free-stack test, the Seq1–Seq4 litmus interleavings, and
 //!   the PARSEC-like kernels.
@@ -55,11 +55,11 @@ pub use machine::{Machine, MachineBuilder};
 
 // The substrate, re-exported under stable paths.
 pub use adbt_engine::{
-    validate_adapt_log, AdaptAction, AdaptConfig, AdaptPolicy, Atomicity, Breakdown, ChaosCfg,
-    ChaosSite, ChaosSnapshot, Histograms, LogHistogram, MachineConfig, ProfileEntry, ProfileMetric,
-    ProfileRecorder, ProfileSnapshot, ProfileTier, RetryPolicy, RunReport, Schedule, SimBreakdown,
-    SimCosts, TraceEvent, TraceKind, TraceRecorder, Trap, Vcpu, VcpuOutcome, VcpuStats,
-    WatchdogDump,
+    validate_adapt_log, AdaptAction, AdaptConfig, AdaptPolicy, Atomicity, ChaosCfg, ChaosSite,
+    ChaosSnapshot, Histograms, LogHistogram, MachineConfig, ProfileEntry, ProfileMetric,
+    ProfileRecorder, ProfileSnapshot, ProfileTier, RetryPolicy, RunReport, Scheduler,
+    ScriptedScheduler, SimBreakdown, SimCosts, SimScheduler, TraceEvent, TraceKind, TraceRecorder,
+    Trap, Vcpu, VcpuOutcome, VcpuStats, WatchdogDump,
 };
 pub use adbt_isa::asm::{assemble, Image};
 pub use adbt_schemes::SchemeKind;

@@ -2,7 +2,7 @@
 
 use crate::Error;
 use adbt_adapt::CostModelArbiter;
-use adbt_engine::{AdaptConfig, ChaosCfg, MachineConfig, MachineCore, RunReport, Schedule, Vcpu};
+use adbt_engine::{AdaptConfig, ChaosCfg, MachineConfig, MachineCore, RunReport, Vcpu};
 
 use adbt_isa::asm::{assemble, Image};
 use adbt_mmu::Width;
@@ -62,7 +62,7 @@ impl MachineBuilder {
     }
 
     /// Caps translated blocks at `n` guest instructions. Use `1` for
-    /// lockstep litmus runs needing instruction-granular interleaving.
+    /// scripted litmus runs needing instruction-granular interleaving.
     pub fn max_block_insns(mut self, n: u32) -> MachineBuilder {
         self.config.max_block_insns = n;
         self
@@ -83,7 +83,7 @@ impl MachineBuilder {
     }
 
     /// Caps how many blocks a threaded vCPU executes per dispatch while
-    /// following chain links (`1` disables chaining; lockstep and
+    /// following chain links (`1` disables chaining; scheduled and
     /// simulated runs always dispatch single blocks regardless).
     pub fn chain_limit(mut self, n: u32) -> MachineBuilder {
         self.config.chain_limit = n.max(1);
@@ -93,7 +93,7 @@ impl MachineBuilder {
     /// Sets the execution count at which a block goes hot and is
     /// promoted to a tier-2 superblock (`0` disables tiering — the
     /// engine default). Tiering requires chaining; single-block modes
-    /// (lockstep, simulated, scheduled) and `max_block_insns(1)` builds
+    /// (scheduled, simulated) and `max_block_insns(1)` builds
     /// force it off.
     pub fn tier_threshold(mut self, n: u32) -> MachineBuilder {
         self.config.tier_threshold = n;
@@ -296,11 +296,6 @@ impl Machine {
     /// Runs pre-built vCPUs on real OS threads (per-thread entry points).
     pub fn run_vcpus(&self, vcpus: Vec<Vcpu>) -> RunReport {
         self.core.run_threaded(vcpus)
-    }
-
-    /// Runs deterministically on the calling thread under `schedule`.
-    pub fn run_lockstep(&self, vcpus: Vec<Vcpu>, schedule: Schedule) -> RunReport {
-        self.core.run_lockstep(vcpus, schedule)
     }
 
     /// Runs pre-built vCPUs one atom at a time under an external

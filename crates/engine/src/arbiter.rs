@@ -55,7 +55,7 @@ pub struct AdaptConfig {
     /// Retired-instruction epoch length per vCPU: the arbiter samples
     /// its signals every time the arbitrating vCPU crosses this many
     /// retired instructions. Counting retired instructions (not wall
-    /// time) keeps scheduled/lockstep/sim arbitration deterministic.
+    /// time) keeps scheduled and simulated arbitration deterministic.
     pub epoch_insns: u64,
     /// Atomicity-class movement policy.
     pub policy: AdaptPolicy,

@@ -110,18 +110,20 @@ pub enum BlockRun {
     Paused(usize),
 }
 
-/// Executes a translated block and returns the next guest PC.
+/// Executes a translated block whole and returns the next guest PC —
+/// the entry point for code that runs blocks outside the machine's run
+/// loops (which dispatch through [`run_block_from`] with a resume
+/// cursor).
 ///
 /// # Errors
 ///
 /// Propagates traps from memory ops, helpers, syscalls and undefined
-/// instructions; the run loop decides what each trap means for the vCPU.
+/// instructions; the caller decides what each trap means for the vCPU.
 pub fn run_block(ctx: &mut ExecCtx<'_>, block: &Block) -> Result<u32, Trap> {
     match run_block_from(ctx, block, 0)? {
         BlockRun::Done(next_pc) => Ok(next_pc),
-        // Pause points only fire when a scheduler asked for them, and
-        // only scheduled dispatch does; every other mode runs blocks
-        // whole.
+        // Pause points only fire on a ctx a fine-grained scheduler
+        // armed, and only the scheduled run loop does that.
         BlockRun::Paused(_) => unreachable!("block paused outside scheduled mode"),
     }
 }

@@ -16,14 +16,15 @@
 //! * **runtime helpers** with QEMU-style dispatch cost
 //!   ([`HelperRegistry`]), page-fault routing to scheme handlers, and a
 //!   guest **syscall** layer,
-//! * per-vCPU **statistics** with the paper's four-bucket overhead
-//!   breakdown ([`VcpuStats`], [`Breakdown`]),
-//! * four execution modes: **threaded** (real concurrency; all
-//!   performance results), **simulated** (virtual-time multicore; the
-//!   host-independent performance figures), **lockstep** (deterministic
-//!   round-robin interleaving; the §IV-A litmus tests), and
-//!   **scheduled** (an external [`Scheduler`] picks every atom — the
-//!   substrate `adbt-check` enumerates interleavings with).
+//! * per-vCPU **statistics** with the paper's four-bucket virtual-time
+//!   overhead breakdown ([`VcpuStats`], [`SimBreakdown`]),
+//! * two run loops: **threaded** (real concurrency on OS threads; the
+//!   wall-clock results) and **scheduled** (a [`Scheduler`] picks every
+//!   atom on one thread). Every deterministic mode is a scheduler: the
+//!   [`ScriptedScheduler`] pins the §IV-A litmus interleavings and is
+//!   what `adbt-check` enumerates schedules with, and the
+//!   [`SimScheduler`] is the virtual-time multicore behind the
+//!   host-independent performance figures.
 //!
 //! The engine is deliberately scheme-agnostic: correctness and cost of
 //! LL/SC emulation live entirely behind the [`AtomicScheme`] trait,
@@ -95,11 +96,11 @@ pub use arbiter::{
 };
 pub use cache::CacheOccupancy;
 pub use exclusive::{ExclusiveBarrier, ExclusiveTelemetry, Halted};
-pub use machine::{MachineConfig, MachineCore, RunReport, Schedule, VcpuOutcome};
+pub use machine::{MachineConfig, MachineCore, RunReport, VcpuOutcome};
 pub use runtime::{ExecCtx, FaultAccess, FaultOutcome, HelperFn, HelperRegistry, Trap};
-pub use sched::{format_choices, SchedEvent, Scheduler, ScriptedScheduler};
+pub use sched::{format_choices, SchedEvent, Scheduler, ScriptedScheduler, SimScheduler};
 pub use scheme::{AtomicScheme, Atomicity, SchemeCostModel, StoreFamily};
 pub use state::{Flags, Monitor, Vcpu, VcpuSnapshot};
-pub use stats::{calibration, Breakdown, Calibration, SimBreakdown, SimCosts, VcpuStats};
+pub use stats::{SimBreakdown, SimCosts, VcpuStats};
 pub use store_test::StoreTestTable;
 pub use watchdog::{VcpuBeat, WatchdogDump};

@@ -249,10 +249,9 @@ pub struct ExecCtx<'m> {
     /// on abort (speculative stores never became visible).
     pub(crate) txn_events: Vec<SchedEvent>,
     /// This thread's QSBR slot for translation-cache reclamation, set by
-    /// the run-mode entry points. `usize::MAX` means "no slot": the ctx
-    /// never announces quiescence and never blocks a grace period
-    /// (scheduled mode keeps the slot on the driver — a paused cursor
-    /// must pin its block).
+    /// the run loops. `usize::MAX` means "no slot": the ctx never
+    /// announces quiescence and never blocks a grace period (a scheduled
+    /// run lends its one slot only while no cursor pins a paused block).
     pub(crate) qsbr_slot: usize,
     /// Retired-instruction threshold for this vCPU's next adaptive
     /// arbitration epoch; `u64::MAX` on static machines, so the poll

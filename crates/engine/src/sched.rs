@@ -1,18 +1,23 @@
-//! Deterministic scheduling for the interleaving checker (`adbt-check`).
+//! Deterministic scheduling: every single-threaded run mode.
 //!
 //! The threaded engine interleaves vCPUs wherever the OS scheduler
-//! pleases; the sim engine interleaves them wherever its virtual clock
-//! lands. Both only ever *sample* the schedule space. This module is the
-//! third mode's contract: [`MachineCore::run_scheduled`] executes vCPUs
-//! one **atom** at a time on a single OS thread and asks a [`Scheduler`]
-//! which vCPU runs next, so a checker can *enumerate* schedules instead
-//! of sampling them.
+//! pleases. Every deterministic mode instead runs through
+//! [`MachineCore::run_scheduled`], which executes vCPUs one **atom** at a
+//! time on a single OS thread and asks a [`Scheduler`] which vCPU runs
+//! next. The policies are:
+//!
+//! * [`ScriptedScheduler`] — replays a fixed segment script, so litmus
+//!   tests pin an exact interleaving and the checker (`adbt-check`) can
+//!   *enumerate* schedules instead of sampling them;
+//! * [`SimScheduler`] — the simulated multicore: virtual clocks charged
+//!   from a cost model after every atom, the smallest clock runs next.
 //!
 //! # The yield-point model
 //!
 //! An atom is the unit of scheduling: one translated block (the checker
-//! sets `max_block_insns = 1`, so a block is one guest instruction), or
-//! the prefix/suffix of a block around an explicit [`Op::Window`] /
+//! sets `max_block_insns = 1`, so a block is one guest instruction), or,
+//! under a [fine-grained](Scheduler::fine_grained) scheduler, the
+//! prefix/suffix of a block around an explicit [`Op::Window`] /
 //! [`Op::Yield`] pause point. This mirrors where the real engine can
 //! actually interleave: block boundaries are where safepoints park
 //! vCPUs and where stop-the-world sections cut in, while `Op::Window`
@@ -42,6 +47,8 @@
 //! [`Op::Window`]: adbt_ir::Op::Window
 //! [`Op::Yield`]: adbt_ir::Op::Yield
 
+use crate::runtime::ExecCtx;
+use crate::stats::{SimCosts, SimSnapshot};
 use adbt_chaos::ChaosSite;
 use adbt_mmu::Width;
 
@@ -95,6 +102,22 @@ pub trait Scheduler {
     /// Observes an event produced while running atom `atom`.
     fn observe(&mut self, atom: u64, event: SchedEvent) {
         let _ = (atom, event);
+    }
+
+    /// Whether atoms split at `Op::Yield`/`Op::Window` pause points and
+    /// every atomicity event is streamed to [`Scheduler::observe`]. Asked
+    /// once per run; a scheduler that only needs whole-block atoms (the
+    /// simulated multicore) turns both off.
+    fn fine_grained(&self) -> bool {
+        true
+    }
+
+    /// Called after every atom, before a finished vCPU's outcome is
+    /// recorded: `idx` ran it, `enabled` is the live set it was picked
+    /// from, and `ctxs` are every vCPU's contexts (for charging the
+    /// atom's counters).
+    fn after_atom(&mut self, idx: usize, enabled: &[bool], ctxs: &mut [ExecCtx<'_>]) {
+        let _ = (idx, enabled, ctxs);
     }
 }
 
@@ -247,6 +270,130 @@ impl Scheduler for ScriptedScheduler {
 
     fn observe(&mut self, atom: u64, event: SchedEvent) {
         self.events.push((atom, event));
+    }
+}
+
+/// The simulated multicore as a [`Scheduler`]: always advances the vCPU
+/// with the smallest virtual clock, one whole translated block per atom,
+/// and charges each block against the [`SimCosts`] model. Stop-the-world
+/// sections synchronize every clock (which is exactly why
+/// exclusive-heavy schemes stop scaling — the paper's observation,
+/// reproduced host-independently).
+///
+/// Interleaving is block-granular, so cross-thread races (SC failures,
+/// HTM conflicts, ABA interleavings) genuinely occur; the schedule is a
+/// pure function of the guest and the cost model, so runs are exactly
+/// reproducible. Each vCPU's clock lands in its `VcpuStats::sim_time`.
+#[derive(Clone, Debug)]
+pub struct SimScheduler {
+    costs: SimCosts,
+    vcpus: Vec<SimVcpu>,
+    /// Least-recently-run stamp source (see [`SimVcpu::last_run`]).
+    run_counter: u64,
+    /// The running vCPU keeps the CPU while its clock stays within this.
+    quantum_end: u64,
+    /// Xorshift state of the quantum jitter.
+    rng: u64,
+    /// The shared-resource clock for schemes' global locks: an
+    /// acquisition at time t waits until the lock frees, then holds it
+    /// for `lock_hold` — a queueing model of lock contention.
+    lock_free_at: u64,
+}
+
+/// One vCPU's virtual-time state.
+#[derive(Clone, Copy, Debug, Default)]
+struct SimVcpu {
+    clock: u64,
+    /// The counters already charged to `clock`.
+    charged: SimSnapshot,
+    /// Least-recently-run tie-break stamp. Stop-the-world syncs
+    /// equalize every clock, and a fixed (lowest-index) tie-break would
+    /// then starve everyone but one spinner — a waiter that syncs on
+    /// every spin would never let the lock holder run.
+    last_run: u64,
+}
+
+impl SimScheduler {
+    /// A scheduler charging atoms against `costs`.
+    pub fn new(costs: &SimCosts) -> SimScheduler {
+        SimScheduler {
+            costs: *costs,
+            vcpus: Vec::new(),
+            run_counter: 0,
+            quantum_end: 0,
+            rng: costs.jitter_seed | 1,
+            lock_free_at: 0,
+        }
+    }
+}
+
+impl Scheduler for SimScheduler {
+    fn pick(&mut self, _atom: u64, enabled: &[bool], last: Option<usize>) -> usize {
+        self.vcpus.resize(enabled.len(), SimVcpu::default());
+        if let Some(idx) = last {
+            if enabled[idx] && self.vcpus[idx].clock <= self.quantum_end {
+                return idx;
+            }
+        }
+        // Advance the vCPU with the smallest virtual clock (ties go to
+        // the least recently run — fully deterministic) and keep it
+        // running for one scheduling quantum.
+        let idx = (0..enabled.len())
+            .filter(|&i| enabled[i])
+            .min_by_key(|&i| (self.vcpus[i].clock, self.vcpus[i].last_run, i))
+            .expect("pick() called with no enabled vCPU");
+        self.run_counter += 1;
+        self.vcpus[idx].last_run = self.run_counter;
+        // Jittered quantum: varied preemption phases are what let
+        // several vCPUs be mid-operation at once (see SimCosts).
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        let base = self.costs.quantum.max(2);
+        self.quantum_end = self.vcpus[idx]
+            .clock
+            .saturating_add(base / 2 + self.rng % base);
+        idx
+    }
+
+    /// The virtual-time model charges and preempts at block granularity.
+    fn fine_grained(&self) -> bool {
+        false
+    }
+
+    fn after_atom(&mut self, idx: usize, enabled: &[bool], ctxs: &mut [ExecCtx<'_>]) {
+        let costs = self.costs;
+        let stats = &mut ctxs[idx].stats;
+        let (units, syncs, locks) = self.vcpus[idx].charged.charge(stats, &costs);
+        self.vcpus[idx].charged = SimSnapshot::capture(stats);
+        let mut clock = self.vcpus[idx].clock + units;
+        // Global-lock acquisitions queue on one shared resource.
+        for _ in 0..locks {
+            if self.lock_free_at > clock {
+                stats.sim_exclusive_units += self.lock_free_at - clock;
+                clock = self.lock_free_at;
+            }
+            self.lock_free_at = clock + costs.lock_hold;
+            clock += costs.lock_hold;
+        }
+        // A stop-the-world section: the requester waits for everyone to
+        // reach a safepoint, runs alone, then resumes the world; laggard
+        // clocks are floored to the section's end (they were parked
+        // through it).
+        let section = costs.safepoint_wait + costs.exclusive_section;
+        stats.sim_exclusive_units += syncs * section;
+        stats.sim_time = clock + syncs * section;
+        for _ in 0..syncs {
+            clock += section;
+            for (j, other) in self.vcpus.iter_mut().enumerate() {
+                if j != idx && enabled[j] && other.clock < clock {
+                    ctxs[j].stats.sim_exclusive_units += clock - other.clock;
+                    ctxs[j].stats.sim_time = clock;
+                    other.clock = clock;
+                }
+            }
+        }
+        self.vcpus[idx].clock = clock;
     }
 }
 

@@ -3,18 +3,19 @@
 //!
 //! Counters are plain `u64` fields updated by the owning vCPU thread and
 //! merged after the run, so collection adds no synchronization to the
-//! hot path. Wall-time is split into four buckets following §IV-B2:
+//! hot path. Two kinds of cost are recorded:
 //!
-//! * **exclusive** — waiting for / holding the stop-the-world section,
-//!   time parked at safepoints, and contended store-test entry locks;
-//! * **mprotect** — page-permission and remap system-call analogues;
-//! * **instrument** — store/LL/SC instrumentation, *estimated* as event
-//!   counts × per-event costs calibrated once per process (timing every
-//!   inlined hash-table store would cost more than the store itself and
-//!   distort exactly the effect being measured);
-//! * **native** — everything else (the remainder of wall time).
-
-use std::time::{Duration, Instant};
+//! * **measured host time** — `exclusive_ns` (waiting for / holding the
+//!   stop-the-world section, parked at safepoints), `mprotect_ns`
+//!   (page-permission and remap system-call analogues) and
+//!   `lock_wait_ns` (contended store-test entry locks) are timed on the
+//!   host clock where they happen;
+//! * **virtual time** — the simulated multicore charges every event
+//!   against the [`SimCosts`] model, and [`SimBreakdown`] splits the
+//!   resulting units into the §IV-B2 buckets (native, exclusive,
+//!   instrument, mprotect). Per-store instrumentation is not timed on
+//!   the host: timing every inlined hash-table store would cost more
+//!   than the store itself.
 
 /// Per-vCPU event counters and timed buckets.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -391,8 +392,8 @@ impl VcpuStats {
     }
 }
 
-/// The virtual-time cost model used by the simulated-multicore mode
-/// (`MachineCore::run_sim`).
+/// The virtual-time cost model used by the simulated multicore
+/// ([`SimScheduler`](crate::SimScheduler)).
 ///
 /// Units are abstract "cycles"; only *ratios* matter. Defaults are
 /// calibrated from the cost structure the paper describes for QEMU on
@@ -556,102 +557,7 @@ impl SimSnapshot {
     }
 }
 
-/// Per-event costs measured once per process, used to *estimate* the
-/// instrumentation bucket (see module docs for why estimation beats
-/// direct timing here).
-#[derive(Clone, Copy, Debug)]
-pub struct Calibration {
-    /// Cost of one inline store-test table update, in nanoseconds.
-    pub htable_set_ns: f64,
-    /// Cost of one helper dispatch (dynamic call + argument marshalling),
-    /// in nanoseconds.
-    pub helper_dispatch_ns: f64,
-}
-
-impl Calibration {
-    /// Measures per-event costs on the current host. Called lazily once
-    /// per process via [`calibration`].
-    fn measure() -> Calibration {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        const ROUNDS: u32 = 200_000;
-
-        // Inline hash-table set: one index computation + one atomic store.
-        let table: Vec<AtomicU32> = (0..1024).map(|_| AtomicU32::new(0)).collect();
-        let start = Instant::now();
-        for i in 0..ROUNDS {
-            let idx = ((i.wrapping_mul(2654435761)) >> 2) as usize & 1023;
-            table[idx].store(1, Ordering::Release);
-        }
-        let htable_set_ns = start.elapsed().as_nanos() as f64 / ROUNDS as f64;
-
-        // Helper dispatch: boxed dynamic call with argument slice.
-        type Dyn = Box<dyn Fn(&[u32]) -> u32 + Send + Sync>;
-        let f: Dyn = Box::new(|args| args.iter().sum());
-        let args = [1u32, 2, 3];
-        let start = Instant::now();
-        let mut acc = 0u32;
-        for _ in 0..ROUNDS {
-            acc = acc.wrapping_add(std::hint::black_box(&f)(std::hint::black_box(&args)));
-        }
-        std::hint::black_box(acc);
-        let helper_dispatch_ns = start.elapsed().as_nanos() as f64 / ROUNDS as f64;
-
-        Calibration {
-            htable_set_ns: htable_set_ns.max(0.1),
-            helper_dispatch_ns: helper_dispatch_ns.max(0.5),
-        }
-    }
-}
-
-/// Returns the process-wide calibration, measuring it on first use.
-pub fn calibration() -> Calibration {
-    use std::sync::OnceLock;
-    static CAL: OnceLock<Calibration> = OnceLock::new();
-    *CAL.get_or_init(Calibration::measure)
-}
-
-/// The Fig. 12 overhead breakdown derived from merged stats and the run's
-/// wall time.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Breakdown {
-    /// Seconds attributable to plain emulation.
-    pub native_s: f64,
-    /// Seconds in exclusive sections / parked at safepoints / entry locks.
-    pub exclusive_s: f64,
-    /// Seconds in instrumentation (estimated; see module docs).
-    pub instrument_s: f64,
-    /// Seconds in permission/remap work.
-    pub mprotect_s: f64,
-}
-
-impl Breakdown {
-    /// Derives the breakdown from merged per-vCPU stats and total CPU
-    /// seconds (wall time × threads).
-    pub fn derive(stats: &VcpuStats, cpu_seconds: f64) -> Breakdown {
-        let cal = calibration();
-        let instrument_s = (stats.htable_sets as f64 * cal.htable_set_ns
-            + stats.helper_calls as f64 * cal.helper_dispatch_ns)
-            / 1e9;
-        let exclusive_s =
-            Duration::from_nanos(stats.exclusive_ns + stats.lock_wait_ns).as_secs_f64();
-        let mprotect_s = Duration::from_nanos(stats.mprotect_ns).as_secs_f64();
-        let native_s = (cpu_seconds - instrument_s - exclusive_s - mprotect_s).max(0.0);
-        Breakdown {
-            native_s,
-            exclusive_s,
-            instrument_s,
-            mprotect_s,
-        }
-    }
-
-    /// Total accounted seconds.
-    pub fn total_s(&self) -> f64 {
-        self.native_s + self.exclusive_s + self.instrument_s + self.mprotect_s
-    }
-}
-
-/// The Fig. 12 overhead breakdown in virtual-time units (simulated-mode
-/// analogue of [`Breakdown`]).
+/// The Fig. 12 overhead breakdown in virtual-time units.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimBreakdown {
     /// Units of plain emulation (remainder).
@@ -777,40 +683,5 @@ mod tests {
         assert_eq!(a.stores, 7);
         assert_eq!(a.exclusive_ns, 150);
         assert_eq!(a.sc_failures, 2);
-    }
-
-    #[test]
-    fn calibration_is_positive_and_cached() {
-        let c1 = calibration();
-        let c2 = calibration();
-        assert!(c1.htable_set_ns > 0.0);
-        assert!(c1.helper_dispatch_ns > 0.0);
-        assert_eq!(c1.htable_set_ns.to_bits(), c2.htable_set_ns.to_bits());
-    }
-
-    #[test]
-    fn breakdown_accounts_all_time() {
-        let stats = VcpuStats {
-            htable_sets: 1_000_000,
-            helper_calls: 1_000,
-            exclusive_ns: 500_000_000,
-            mprotect_ns: 250_000_000,
-            ..VcpuStats::default()
-        };
-        let b = Breakdown::derive(&stats, 2.0);
-        assert!(b.native_s > 0.0);
-        assert!((b.total_s() - 2.0).abs() < 1e-9);
-        assert!((b.exclusive_s - 0.5).abs() < 1e-9);
-        assert!((b.mprotect_s - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn breakdown_clamps_native_at_zero() {
-        let stats = VcpuStats {
-            exclusive_ns: u64::MAX / 2,
-            ..VcpuStats::default()
-        };
-        let b = Breakdown::derive(&stats, 0.001);
-        assert_eq!(b.native_s, 0.0);
     }
 }

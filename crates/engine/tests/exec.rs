@@ -1,12 +1,12 @@
 //! End-to-end engine tests: assemble guest programs, run them on the
-//! threaded and lockstep engines, and check architectural results.
+//! threaded and scheduled engines, and check architectural results.
 //!
 //! These tests use a deliberately simple CAS-based scheme (equivalent to
 //! PICO-CAS) defined locally, so the engine crate is exercised without
 //! depending on `adbt-schemes` (which depends on this crate).
 
 use adbt_engine::{
-    AtomicScheme, Atomicity, HelperRegistry, MachineConfig, MachineCore, Schedule, Trap,
+    AtomicScheme, Atomicity, HelperRegistry, MachineConfig, MachineCore, ScriptedScheduler, Trap,
     VcpuOutcome,
 };
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
@@ -347,7 +347,7 @@ fn threads_with_disjoint_counters_do_not_interfere() {
 }
 
 #[test]
-fn lockstep_round_robin_is_deterministic() {
+fn scripted_default_schedule_is_deterministic() {
     let code = r#"
         mov32 r5, cell
         svc   #2
@@ -370,7 +370,11 @@ fn lockstep_round_robin_is_deterministic() {
         .unwrap();
         let image = assemble(code, 0x1000).unwrap();
         m.load_image(&image);
-        let report = m.run_lockstep(m.make_vcpus(3, 0x1000), Schedule::RoundRobin);
+        let report = m.run_scheduled(
+            m.make_vcpus(3, 0x1000),
+            &mut ScriptedScheduler::new(),
+            10_000,
+        );
         report
             .outcomes
             .iter()
@@ -387,7 +391,7 @@ fn lockstep_round_robin_is_deterministic() {
 }
 
 #[test]
-fn lockstep_explicit_schedule_orders_writes() {
+fn scripted_schedule_orders_writes() {
     // Two threads each store their tid to the same cell then exit with
     // the value they read back. Schedule thread 1 (index 1) completely
     // first, then thread 0: the final value must be thread 0's tid.
@@ -413,9 +417,9 @@ fn lockstep_explicit_schedule_orders_writes() {
     .unwrap();
     let image = assemble(code, 0x1000).unwrap();
     m.load_image(&image);
-    // 16 steps of vCPU 1 first (enough to finish), then vCPU 0.
-    let schedule: Vec<u32> = std::iter::repeat_n(1, 16).chain([0; 16]).collect();
-    let report = m.run_lockstep(m.make_vcpus(2, 0x1000), Schedule::Explicit(schedule));
+    // 16 atoms of vCPU 1 first (enough to finish), then vCPU 0.
+    let mut sched = ScriptedScheduler::from_segments(&[(1, 16), (0, 16)]);
+    let report = m.run_scheduled(m.make_vcpus(2, 0x1000), &mut sched, 10_000);
     assert_eq!(report.outcomes[1], VcpuOutcome::Exited(2));
     assert_eq!(report.outcomes[0], VcpuOutcome::Exited(1));
     let cell = image.symbol("cell").unwrap();

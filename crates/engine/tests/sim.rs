@@ -2,7 +2,8 @@
 //! accounting, quantum interleaving, and the stop-the-world model.
 
 use adbt_engine::{
-    AtomicScheme, Atomicity, HelperRegistry, MachineConfig, MachineCore, SimCosts, VcpuOutcome,
+    AtomicScheme, Atomicity, HelperRegistry, MachineConfig, MachineCore, SimCosts, SimScheduler,
+    VcpuOutcome,
 };
 use adbt_ir::{BlockBuilder, Op, Slot, Src};
 use adbt_isa::asm::assemble;
@@ -249,7 +250,6 @@ fn step_cap_reports_livelock_rather_than_hanging() {
     let m = MachineCore::new(
         MachineConfig {
             mem_size: 1 << 20,
-            max_lockstep_steps: 100,
             ..MachineConfig::default()
         },
         Box::new(ExclusiveCas { sc: None }),
@@ -257,7 +257,8 @@ fn step_cap_reports_livelock_rather_than_hanging() {
     .unwrap();
     let image = assemble("spin: b spin\n", 0x1_0000).unwrap();
     m.load_image(&image);
-    let report = m.run_sim(m.make_vcpus(2, 0x1_0000), &SimCosts::default());
+    let mut sched = SimScheduler::new(&SimCosts::default());
+    let report = m.run_scheduled(m.make_vcpus(2, 0x1_0000), &mut sched, 100);
     assert!(report
         .outcomes
         .iter()

@@ -2,7 +2,7 @@
 //! LL/SC counter exact, keep SC mutual exclusion, and expose its
 //! documented cost signature (instrumentation counts, faults, aborts).
 
-use adbt_engine::{MachineConfig, MachineCore, VcpuOutcome};
+use adbt_engine::{MachineConfig, MachineCore, ScriptedScheduler, VcpuOutcome};
 use adbt_isa::asm::assemble;
 use adbt_mmu::Width;
 use adbt_schemes::SchemeKind;
@@ -214,14 +214,14 @@ fn pst_false_sharing_is_detected_and_survivable() {
     }
 }
 
-/// Deterministic false-sharing check: in lockstep, thread 1 stores to the
+/// Deterministic false-sharing check: on a script, thread 1 stores to the
 /// protected page while thread 0 sits between LL and SC. The store must
 /// fault, be completed by the handler (false sharing), and leave thread
 /// 0's monitor intact so its SC succeeds.
 #[test]
 fn pst_false_sharing_fault_path_is_exact() {
     // Thread 0: LL counter, pause, SC. Thread 1: store to `noise` (same
-    // page), then exit. Explicit schedule: t0 up to its LL (3 steps),
+    // page), then exit. Script: t0 up to its LL (6 atoms),
     // all of t1, then t0 finishes.
     let program = r#"
         mov32 r5, counter
@@ -256,12 +256,9 @@ fn pst_false_sharing_fault_path_is_exact() {
         .unwrap();
         let image = assemble(program, 0x1000).unwrap();
         machine.load_image(&image);
-        // t0: movw,movt,svc,cmp,beq,ldrex = 6 steps; then t1 fully; then t0.
-        let schedule: Vec<u32> = [0; 6].into_iter().chain([1; 16]).chain([0; 16]).collect();
-        let report = machine.run_lockstep(
-            machine.make_vcpus(2, 0x1000),
-            adbt_engine::Schedule::Explicit(schedule),
-        );
+        // t0: movw,movt,svc,cmp,beq,ldrex = 6 atoms; then t1 fully; then t0.
+        let mut sched = ScriptedScheduler::from_segments(&[(0, 6), (1, 16), (0, 16)]);
+        let report = machine.run_scheduled(machine.make_vcpus(2, 0x1000), &mut sched, 10_000);
         assert_eq!(
             report.outcomes[0],
             VcpuOutcome::Exited(0),
@@ -321,11 +318,8 @@ fn pst_true_conflict_breaks_the_monitor() {
         .unwrap();
         let image = assemble(program, 0x1000).unwrap();
         machine.load_image(&image);
-        let schedule: Vec<u32> = [0; 6].into_iter().chain([1; 16]).chain([0; 16]).collect();
-        let report = machine.run_lockstep(
-            machine.make_vcpus(2, 0x1000),
-            adbt_engine::Schedule::Explicit(schedule),
-        );
+        let mut sched = ScriptedScheduler::from_segments(&[(0, 6), (1, 16), (0, 16)]);
+        let report = machine.run_scheduled(machine.make_vcpus(2, 0x1000), &mut sched, 10_000);
         assert_eq!(
             report.outcomes[0],
             VcpuOutcome::Exited(1),

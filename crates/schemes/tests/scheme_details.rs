@@ -2,7 +2,7 @@
 //! HST's benign hash collisions, and PST-REMAP's remap window under
 //! concurrent readers.
 
-use adbt_engine::{MachineConfig, MachineCore, Schedule, VcpuOutcome};
+use adbt_engine::{MachineConfig, MachineCore, ScriptedScheduler, VcpuOutcome};
 use adbt_isa::asm::assemble;
 use adbt_mmu::{Perms, Width};
 use adbt_schemes::SchemeKind;
@@ -11,7 +11,7 @@ fn machine_with(kind: SchemeKind, config: MachineConfig) -> MachineCore {
     MachineCore::new(config, kind.build()).unwrap()
 }
 
-/// PST protection lifecycle, step by step in lockstep mode: the page is
+/// PST protection lifecycle, run on one deterministic vCPU: the page is
 /// writable before LL, read-only while the monitor is armed, and
 /// writable again after the SC retires the last monitor.
 #[test]
@@ -41,13 +41,13 @@ fn pst_protection_follows_the_monitor() {
     let page = var >> 12;
     assert_eq!(m.space.perms(page), Some(Perms::RWX), "before run");
 
-    // Drive vCPU 0 up to (and including) the ldrex: movw,movt,ldrex = 3
-    // steps; then stop (schedule exhausts and the second vCPU — a parked
-    // observer that never runs guest code — keeps the run alive is not
-    // needed: use explicit schedule then inspect after full run).
-    // Lockstep runs to completion, so instead verify the protection
-    // effects via the fault statistics and final state.
-    let report = m.run_lockstep(m.make_vcpus(1, 0x1_0000), Schedule::RoundRobin);
+    // The run goes to completion, so verify the protection effects via
+    // the fault statistics and final state.
+    let report = m.run_scheduled(
+        m.make_vcpus(1, 0x1_0000),
+        &mut ScriptedScheduler::new(),
+        10_000,
+    );
     assert_eq!(report.outcomes[0], VcpuOutcome::Exited(0));
     assert_eq!(m.space.load(var, Width::Word).unwrap(), 11);
     assert_eq!(
@@ -98,15 +98,10 @@ fn pst_shared_page_stays_protected_until_last_monitor() {
     );
     let image = assemble(program, 0x1_0000).unwrap();
     m.load_image(&image);
-    // t0: movw,movt,svc,cmp,beq,ldrex = 6 steps. t1: movw,movt,svc,cmp,
-    // beq,add,ldrex = 7 steps. Then t0 finishes, then t1.
-    let schedule: Vec<u32> = [0; 6]
-        .into_iter()
-        .chain([1; 7])
-        .chain([0; 8])
-        .chain([1; 8])
-        .collect();
-    let report = m.run_lockstep(m.make_vcpus(2, 0x1_0000), Schedule::Explicit(schedule));
+    // t0: movw,movt,svc,cmp,beq,ldrex = 6 atoms. t1: movw,movt,svc,cmp,
+    // beq,add,ldrex = 7 atoms. Then t0 finishes, then t1.
+    let mut sched = ScriptedScheduler::from_segments(&[(0, 6), (1, 7), (0, 8), (1, 8)]);
+    let report = m.run_scheduled(m.make_vcpus(2, 0x1_0000), &mut sched, 10_000);
     assert_eq!(
         report.outcomes[0],
         VcpuOutcome::Exited(0),
@@ -172,11 +167,11 @@ fn hst_hash_collision_fails_sc_but_retry_recovers() {
         m.store_test.index(var + 0x40000),
         "test addresses must collide (var = {var:#x})"
     );
-    // Schedule: t0 through its LL (movw,movt,movw,movt,svc,cmp,beq,mov,
-    // add,ldrex(HtableSet+MonitorArm in one step) = 10 steps), then the
+    // Script: t0 through its LL (movw,movt,movw,movt,svc,cmp,beq,mov,
+    // add,ldrex(HtableSet+MonitorArm in one atom) = 10 atoms), then the
     // storer completely, then t0.
-    let schedule: Vec<u32> = [0; 10].into_iter().chain([1; 16]).chain([0; 32]).collect();
-    let report = m.run_lockstep(m.make_vcpus(2, 0x1_0000), Schedule::Explicit(schedule));
+    let mut sched = ScriptedScheduler::from_segments(&[(0, 10), (1, 16), (0, 32)]);
+    let report = m.run_scheduled(m.make_vcpus(2, 0x1_0000), &mut sched, 10_000);
     let attempts = match report.outcomes[0] {
         VcpuOutcome::Exited(code) => code,
         ref other => panic!("{other:?}"),
@@ -232,8 +227,8 @@ fn hst_weak_ignores_colliding_plain_stores() {
     );
     let image = assemble(program, 0x1_0000).unwrap();
     m.load_image(&image);
-    let schedule: Vec<u32> = [0; 10].into_iter().chain([1; 16]).chain([0; 32]).collect();
-    let report = m.run_lockstep(m.make_vcpus(2, 0x1_0000), Schedule::Explicit(schedule));
+    let mut sched = ScriptedScheduler::from_segments(&[(0, 10), (1, 16), (0, 32)]);
+    let report = m.run_scheduled(m.make_vcpus(2, 0x1_0000), &mut sched, 10_000);
     assert_eq!(
         report.outcomes[0],
         VcpuOutcome::Exited(1),

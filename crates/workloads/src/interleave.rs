@@ -2,7 +2,7 @@
 //! (`adbt-check`).
 //!
 //! Unlike [`crate::litmus`], which hard-codes the paper's four Seq
-//! interleavings as one pinned lockstep schedule each, these programs
+//! interleavings as one pinned script each, these programs
 //! carry **no schedule at all**: the checker enumerates schedules itself
 //! (instruction-granular, plus every [`adbt_ir::Op::Window`] pause point
 //! a scheme emits) and judges each run with the LL/SC shadow-monitor

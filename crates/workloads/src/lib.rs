@@ -12,7 +12,7 @@
 //!   the dynamic mix of stores, LL/SC and synchronization shape, which is
 //!   what each kernel reproduces (see DESIGN.md).
 //! * [`litmus`] — the four ABA sequences Seq1–Seq4 of §IV-A as exactly
-//!   schedulable two-thread programs for the engine's lockstep mode.
+//!   schedulable two-thread programs for the engine's scheduled mode.
 //! * [`interleave`] — schedule-free miniature litmus programs for the
 //!   systematic interleaving checker (`adbt-check`), which enumerates
 //!   the schedules itself.

@@ -19,7 +19,7 @@
 //! transaction aborts and transparently re-executes the whole LL→SC
 //! region, which is correct but observable as at least one abort.
 //!
-//! Run these with the engine's lockstep mode, `max_block_insns == 1`,
+//! Run these with the engine's scheduled mode, `max_block_insns == 1`,
 //! and the schedule from [`schedule`].
 
 /// The initial value `c` at `x`.
@@ -142,16 +142,14 @@ pub fn image_source(seq: Seq) -> String {
     )
 }
 
-/// The lockstep schedule pinning the interleaving: thread a runs through
-/// its LL (3 single-instruction steps: `movw`, `movt`, `ldrex`), thread
-/// b runs to completion (extra entries on the exited vCPU are skipped),
-/// then thread a resumes. The engine falls back to round-robin after the
-/// explicit list, which lets HTM-rollback re-executions finish.
-pub fn schedule() -> Vec<u32> {
-    let mut steps = vec![0; 3];
-    steps.extend(std::iter::repeat_n(1, 64));
-    steps.extend(std::iter::repeat_n(0, 32));
-    steps
+/// The `(vCPU index, atoms)` script segments pinning the interleaving:
+/// thread a runs through its LL (3 single-instruction atoms: `movw`,
+/// `movt`, `ldrex`), thread b runs to completion (a segment's leftover
+/// atoms are skipped once its vCPU exits), then thread a resumes. The
+/// scheduler keeps thread a running after the script, which lets
+/// HTM-rollback re-executions finish.
+pub fn schedule() -> Vec<(usize, u64)> {
+    vec![(0, 3), (1, 64), (0, 32)]
 }
 
 /// What a scheme should observably do on a sequence.
@@ -192,7 +190,7 @@ mod tests {
 
     #[test]
     fn thread_a_ll_lands_on_step_three() {
-        // The schedule contract: steps 1–3 of thread a are movw, movt,
+        // The schedule contract: atoms 1–3 of thread a are movw, movt,
         // ldrex. Verify by decoding the image at thread_a.
         let img = assemble(&image_source(Seq::Seq1), 0x1_0000).unwrap();
         let a = img.symbol("thread_a").unwrap();

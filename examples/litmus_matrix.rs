@@ -1,5 +1,5 @@
 //! The §IV-A atomicity analysis, executed: run the four ABA sequences
-//! (Seq1–Seq4) under every scheme in deterministic lockstep and print
+//! (Seq1–Seq4) under every scheme on a pinned schedule and print
 //! which SCs correctly fail.
 //!
 //! ```text

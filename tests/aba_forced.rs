@@ -1,12 +1,12 @@
-//! The paper's Figure 2 walkthrough, forced step by step in lockstep
-//! mode: thread 0 stalls mid-pop while thread 1 pops A, thread 2 pops B,
+//! The paper's Figure 2 walkthrough, forced atom by atom with a scripted
+//! schedule: thread 0 stalls mid-pop while thread 1 pops A, thread 2 pops B,
 //! and thread 1 pushes A back. Thread 0's SC then faces the exact ABA
 //! decision: `top` holds A again, but the stack changed underneath.
 //!
 //! PICO-CAS must (incorrectly) succeed — leaving `top` pointing at B,
 //! which thread 2 privately holds. Every correct scheme must fail the SC.
 
-use adbt::{MachineBuilder, Schedule, SchemeKind, Vcpu, VcpuOutcome};
+use adbt::{MachineBuilder, SchemeKind, ScriptedScheduler, Vcpu, VcpuOutcome};
 
 const BASE: u32 = 0x1_0000;
 
@@ -85,20 +85,20 @@ fn run_forced(kind: SchemeKind) -> Forced {
         Vcpu::new(2, machine.symbol("t1").unwrap()),
         Vcpu::new(3, machine.symbol("t2").unwrap()),
     ];
-    // Steps (1 guest insn each):
-    //   thread 0: movw, movt, ldrex, ldr  (4 steps — monitor armed, next read)
-    //   thread 1: full pop of A + push of A (plenty of steps; extras skipped)
+    // Atoms (1 guest insn each):
+    //   thread 0: movw, movt, ldrex, ldr  (4 atoms — monitor armed, next read)
+    //   thread 1: full pop of A + push of A (plenty of atoms; extras skipped)
     //   thread 2: full pop of B — scheduled BETWEEN t1's pop and push:
     // order: t0×4, t1's pop (movw,movt,ldrex,ldr,strex,cmp,bne = 7), t2
     // fully (9), t1 rest, t0 rest.
-    let schedule: Vec<u32> = [0; 4]
-        .into_iter()
-        .chain([1; 7]) // t1 pops A
-        .chain([2; 16]) // t2 pops B (and exits)
-        .chain([1; 16]) // t1 pushes A (and exits)
-        .chain([0; 8]) // t0 resumes: SC
-        .collect();
-    let report = machine.run_lockstep(vcpus, Schedule::Explicit(schedule));
+    let mut sched = ScriptedScheduler::from_segments(&[
+        (0, 4),
+        (1, 7),  // t1 pops A
+        (2, 16), // t2 pops B (and exits)
+        (1, 16), // t1 pushes A (and exits)
+        (0, 8),  // t0 resumes: SC
+    ]);
+    let report = machine.run_scheduled(vcpus, &mut sched, 10_000);
     let sc_status = match report.outcomes[0] {
         VcpuOutcome::Exited(code) => code,
         ref other => panic!(

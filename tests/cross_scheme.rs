@@ -90,22 +90,16 @@ fn collision_tracking_reports_rates() {
     );
 }
 
-/// The Fig. 12 breakdown accounts all CPU time across the four buckets
-/// and reflects each scheme's character.
+/// The measured wall-clock counters reflect each scheme's character:
+/// PST pays page-permission changes (counted and timed), HST pays none.
 #[test]
 fn breakdown_buckets_reflect_scheme_character() {
     let hst = run_parsec(SchemeKind::Hst, Program::Freqmine, 4, 0.05).unwrap();
     let pst = run_parsec(SchemeKind::Pst, Program::Freqmine, 4, 0.05).unwrap();
-    let hst_breakdown = hst.report.breakdown();
-    let pst_breakdown = pst.report.breakdown();
-    // Totals account wall × threads.
-    let hst_total = hst.seconds * 4.0;
-    assert!((hst_breakdown.total_s() - hst_total).abs() < hst_total * 0.05);
-    // PST pays mprotect; HST pays none.
-    assert_eq!(hst.report.stats.mprotect_calls, 0);
     assert!(pst.report.stats.mprotect_calls > 0);
-    assert!(pst_breakdown.mprotect_s > 0.0);
-    assert_eq!(hst_breakdown.mprotect_s, 0.0);
+    assert!(pst.report.stats.mprotect_ns > 0);
+    assert_eq!(hst.report.stats.mprotect_calls, 0);
+    assert_eq!(hst.report.stats.mprotect_ns, 0);
 }
 
 /// Strong scaling: total work is fixed, so doubling the threads leaves
